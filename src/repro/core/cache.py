@@ -124,6 +124,27 @@ def config_digest(key: Any) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()[:16]
 
 
+def _decode_lines(data: bytes) -> tuple[list[str], int]:
+    """Split a JSONL store into text lines, counting undecodable ones.
+
+    The whole buffer is decoded at once; only when that fails (a torn
+    multi-byte character, foreign bytes) is it decoded line by line, so
+    one bad line costs itself, not the load.
+    """
+    try:
+        return data.decode("utf-8").splitlines(), 0
+    except UnicodeDecodeError:
+        pass
+    lines: list[str] = []
+    bad = 0
+    for raw in data.splitlines():
+        try:
+            lines.append(raw.decode("utf-8"))
+        except UnicodeDecodeError:
+            bad += 1
+    return lines, bad
+
+
 class ResultCache:
     """Persistent content-addressed cache of sweep :class:`Row` objects.
 
@@ -184,12 +205,12 @@ class ResultCache:
         """
         self._loaded = True
         try:
-            text = self.path.read_text()
+            data = self.path.read_bytes()
         except OSError:
             return
         fp = self.fingerprint
-        corrupt = 0
-        for line in text.splitlines():
+        lines, corrupt = _decode_lines(data)
+        for line in lines:
             line = line.strip()
             if not line:
                 continue
@@ -301,14 +322,15 @@ class ResultCache:
         stats = {"kept": 0, "dropped_torn": 0, "dropped_duplicates": 0,
                  "dropped_stale": 0, "bytes_before": 0, "bytes_after": 0}
         try:
-            text = self.path.read_text()
+            data = self.path.read_bytes()
         except OSError:
             return stats  # nothing on disk: already as compact as it gets
-        stats["bytes_before"] = len(text.encode())
+        stats["bytes_before"] = len(data)
         fp = self.fingerprint
+        lines, stats["dropped_torn"] = _decode_lines(data)
         #: (fp, key) -> last good line for it, in first-seen order.
         latest: "OrderedDict[tuple[str, str], str]" = OrderedDict()
-        for line in text.splitlines():
+        for line in lines:
             line = line.strip()
             if not line:
                 continue

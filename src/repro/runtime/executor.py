@@ -19,7 +19,7 @@ from repro.machine.topology import Cluster
 from repro.runtime import program as ops
 from repro.runtime.event import Engine
 from repro.runtime.mpi import Request, SimMPI
-from repro.runtime.openmp import DATA_POLICIES, region_time
+from repro.runtime.openmp import DATA_POLICIES, RegionTiming, region_time
 from repro.runtime.placement import JobPlacement
 from repro.runtime.trace import RankTrace
 
@@ -360,7 +360,7 @@ class _Executor:
 
     __slots__ = ("job", "placement", "engine", "mpi", "compiled",
                  "total_flops", "total_dram_bytes", "_storage_busy",
-                 "io_bytes", "perf", "faults")
+                 "io_bytes", "perf", "faults", "_rank_class", "_regions")
 
     def __init__(self, job: Job) -> None:
         self.job = job
@@ -381,6 +381,18 @@ class _Executor:
         self.total_dram_bytes = 0.0
         self._storage_busy = 0.0
         self.io_bytes = 0.0
+        # Region-timing memo.  Ranks with the same thread cores and home
+        # domain time every region alike, so each rank maps to a small
+        # interned class id; the kernel, cluster, census and data policy
+        # are fixed for the job, so (op, class) is the whole key.
+        pl = self.placement
+        classes: dict[tuple, int] = {}
+        self._rank_class = [
+            classes.setdefault((pl.thread_cores(r), pl.home_domain(r)),
+                               len(classes))
+            for r in range(pl.n_ranks)
+        ]
+        self._regions: dict[tuple[ops.Compute, int], RegionTiming] = {}
 
     def storage_transfer(self, size_bytes: float) -> float:
         """Completion time of one file transfer started now.
@@ -396,23 +408,28 @@ class _Executor:
         return max(now + spec.transfer_seconds(size_bytes),
                    self._storage_busy + spec.open_latency_s)
 
-    def time_compute(self, rank: int, op: ops.Compute):
-        try:
-            ck = self.compiled[op.kernel]
-        except KeyError:
-            raise SimulationError(
-                f"rank {rank} references unregistered kernel {op.kernel!r}; "
-                f"known: {sorted(self.compiled)}"
-            ) from None
-        timing = region_time(
-            ck,
-            op,
-            self.placement.thread_cores(rank),
-            self.job.cluster,
-            self.placement.threads_per_domain,
-            self.placement.home_domain(rank),
-            self.job.data_policy,
-        )
+    def time_compute(self, rank: int, op: ops.Compute) -> RegionTiming:
+        key = (op, self._rank_class[rank])
+        timing = self._regions.get(key)
+        if timing is None:
+            try:
+                ck = self.compiled[op.kernel]
+            except KeyError:
+                raise SimulationError(
+                    f"rank {rank} references unregistered kernel "
+                    f"{op.kernel!r}; known: {sorted(self.compiled)}"
+                ) from None
+            # region_time is pure, so a memo hit is exact; fault and
+            # slowdown scaling below stays per call.
+            timing = self._regions[key] = region_time(
+                ck,
+                op,
+                self.placement.thread_cores(rank),
+                self.job.cluster,
+                self.placement.threads_per_domain,
+                self.placement.home_domain(rank),
+                self.job.data_policy,
+            )
         if self.job.node_slowdown:
             factor = self.job.node_slowdown.get(
                 self.placement.node_of(rank), 1.0)

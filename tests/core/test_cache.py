@@ -149,6 +149,21 @@ class TestCorruptionRecovery:
         assert not [w for w in recwarn.list
                     if issubclass(w.category, RuntimeWarning)]
 
+    def test_non_utf8_tail_counted_and_keeps_rest(self, tmp_path):
+        """Regression: a tail torn mid-character (or foreign bytes) is
+        not valid UTF-8; loading must count it as a torn line and keep
+        every decodable record instead of raising UnicodeDecodeError."""
+        cache = ResultCache(tmp_path)
+        row = run_config(CFG, cache)
+        with open(cache.path, "ab") as fh:
+            fh.write(b'{"format": 1}\n\xe2\x82')
+        reopened = ResultCache(tmp_path)
+        assert reopened.get(CFG) == row
+        assert len(reopened) == 1
+        assert reopened.torn_lines == 1
+        assert reopened.compact()["dropped_torn"] == 2
+        assert ResultCache(tmp_path).get(CFG) == row
+
     def test_clean_file_counts_nothing(self, tmp_path):
         cache = ResultCache(tmp_path)
         row = run_config(CFG, cache)
