@@ -68,7 +68,9 @@ _PROFILE_REPS = 3
 
 #: Interleaved (off, on) repetitions of the telemetry-overhead sweep;
 #: the per-mode minimum filters scheduler noise out of a <3% signal.
-_TELEMETRY_REPS = 2
+#: Two reps let one slow host phase decide the gate (8.91% read where a
+#: five-rep re-measure gave -0.5%), so the leg takes five.
+_TELEMETRY_REPS = 5
 
 #: Concurrent clients in the service-dedup leg — the "fleet" whose
 #: duplicate submissions the server coalesces into one simulation each.

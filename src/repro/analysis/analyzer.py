@@ -25,12 +25,12 @@ travels into sweep worker processes.
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Callable, Iterator
+from typing import TYPE_CHECKING, Callable, Collection, Iterator
 
 from repro.analysis import checks
 from repro.analysis.deadlock import find_deadlocks
 from repro.analysis.diagnostics import Diagnostic, DiagnosticReport
-from repro.analysis.trace import DEFAULT_MAX_OPS, ProgramTrace, trace_program
+from repro.analysis.trace import DEFAULT_MAX_OPS, trace_program
 from repro.errors import LintError, ReproError
 from repro.runtime.executor import Job
 
@@ -55,15 +55,17 @@ def analyze_program(factory: Callable[[int, int], Iterator],
     network's threshold (as :func:`analyze_job` does) to permit
     eager-buffered cyclic sends exactly where the runtime does.
     """
-    return _analyze_traces(factory, n_ranks, communicators,
-                           eager_threshold, subject, max_ops)[0]
+    return _analyze(factory, n_ranks, communicators, eager_threshold,
+                    subject, max_ops)
 
 
-def _analyze_traces(factory: Callable[[int, int], Iterator], n_ranks: int,
-                    communicators: dict[str, tuple[int, ...]] | None,
-                    eager_threshold: float, subject: str, max_ops: int,
-                    ) -> tuple[DiagnosticReport, dict[int, ProgramTrace]]:
-    """:func:`analyze_program`, also returning the per-rank traces."""
+def _analyze(factory: Callable[[int, int], Iterator], n_ranks: int,
+             communicators: dict[str, tuple[int, ...]] | None,
+             eager_threshold: float, subject: str, max_ops: int,
+             known_kernels: Collection[str] | None = None,
+             ) -> DiagnosticReport:
+    """:func:`analyze_program`; with ``known_kernels``, also flag every
+    ``Compute`` naming a kernel outside it (:func:`analyze_job`)."""
     report = DiagnosticReport(subject)
     comms: dict[str, tuple[int, ...]] = {"world": tuple(range(n_ranks))}
     for name, members in (communicators or {}).items():
@@ -80,55 +82,27 @@ def _analyze_traces(factory: Callable[[int, int], Iterator], n_ranks: int,
         comms[name] = members
 
     traces = trace_program(factory, n_ranks, max_ops)
-    report.extend(checks.check_programs(traces))
-    report.extend(checks.check_domains(traces, n_ranks, comms))
-    report.extend(checks.check_requests(traces))
-    report.extend(checks.check_p2p_matching(traces, n_ranks))
-    report.extend(checks.check_collectives(traces, comms))
+    found = checks.scan(traces, n_ranks, comms, known_kernels)
+    report.extend(found.structural())
     if not report.errors:
         # structure is sound — worth asking the order-aware question;
         # running it after structural errors would only cascade noise
         report.extend(find_deadlocks(
             traces, eager_threshold=eager_threshold, communicators=comms))
-    return report, traces
+    # the runtime fails mid-run with SimulationError on an unregistered
+    # kernel; the analyzer fails before it
+    report.extend(found.kernels)
+    return report
 
 
 def analyze_job(job: Job,
                 max_ops: int = DEFAULT_MAX_OPS) -> DiagnosticReport:
     """Statically check an assembled job against its own cluster."""
-    report, traces = _analyze_traces(
+    return _analyze(
         job.program, job.placement.n_ranks, job.communicators,
         float(job.cluster.network.rendezvous_threshold_bytes),
-        job.name, max_ops,
+        job.name, max_ops, known_kernels=set(job.kernels),
     )
-    report.extend(_check_kernel_refs(job, traces))
-    return report
-
-
-def _check_kernel_refs(job: Job, traces: dict[int, ProgramTrace],
-                       ) -> list[Diagnostic]:
-    """Every Compute must name a registered kernel (the runtime fails
-    mid-run with SimulationError; the analyzer fails before it)."""
-    from repro.runtime import program as ops
-
-    known = set(job.kernels)
-    out: list[Diagnostic] = []
-    seen: set[str] = set()
-    n = job.placement.n_ranks
-    for rank in (0, n - 1) if n > 1 else (0,):
-        for rec in traces[rank].ops:
-            if isinstance(rec.op, ops.Compute) and \
-                    rec.op.kernel not in known and \
-                    rec.op.kernel not in seen:
-                seen.add(rec.op.kernel)
-                out.append(Diagnostic(
-                    check="unknown-kernel", severity="error",
-                    rank=rec.rank, op_index=rec.index, op=rec.describe(),
-                    message=f"Compute references unregistered kernel "
-                            f"{rec.op.kernel!r}",
-                    hint=f"registered kernels: {sorted(known)}",
-                ))
-    return out
 
 
 def analyze_config(config: ExperimentConfig,

@@ -13,8 +13,9 @@ with the cycle visible in the wait-for descriptions, while the same ring
 below the eager threshold completes silently (no false positive —
 exactly like the runtime and real MPI eager buffering).
 
-The scheduler executes each op at most once, so it terminates in
-O(total ops) work regardless of program shape.
+The scheduler executes each communication op at most once (local ops
+never block, so it skips them), so it terminates in O(communication ops)
+work regardless of program shape.
 """
 
 from __future__ import annotations
@@ -22,24 +23,18 @@ from __future__ import annotations
 from typing import Any
 
 from repro.analysis.diagnostics import Diagnostic
-from repro.analysis.trace import ProgramTrace, TracedOp, TracedRequest
+from repro.analysis.trace import ProgramTrace, TracedRequest
 from repro.runtime import program as ops
+
+_SEND, _ISEND = ops.KIND_SEND, ops.KIND_ISEND
+_RECV, _IRECV = ops.KIND_RECV, ops.KIND_IRECV
+_WAITALL = ops.KIND_WAITALL
+_COLLECTIVE, _ICOLLECTIVE = ops.KIND_COLLECTIVE, ops.KIND_ICOLLECTIVE
 
 #: Hint attached to every deadlock diagnostic.
 _HINT = ("break the wait cycle: post receives before sends, use "
          "Isend/Irecv + WaitAll (the halo-exchange idiom), or keep "
          "messages below the eager threshold")
-
-
-class _Pending:
-    """One posted-but-unmatched send or receive."""
-
-    __slots__ = ("src", "tag", "token")
-
-    def __init__(self, src: int, tag: int, token: object) -> None:
-        self.src = src          # may be ANY_SOURCE for receives
-        self.tag = tag
-        self.token = token      # completes when matched
 
 
 class _CollPending:
@@ -62,51 +57,54 @@ class _Scheduler:
         # completed tokens, held by strong reference: tracking by id()
         # alone would break when CPython reuses a freed token's id
         self.done: set[object] = set()
-        self.sends: dict[int, list[_Pending]] = {r: [] for r in traces}
-        self.recvs: dict[int, list[_Pending]] = {r: [] for r in traces}
+        self.n_ranks = len(traces)
+        # posted-but-unmatched sends / receives per destination rank, as
+        # (src, tag, token); a receive's src may be ANY_SOURCE, and its
+        # token completes when it is matched
+        self.sends: dict[int, list[tuple[int, int, object]]] = \
+            {r: [] for r in traces}
+        self.recvs: dict[int, list[tuple[int, int, object]]] = \
+            {r: [] for r in traces}
         self.coll: dict[str, _CollPending] = {}
+        #: rank -> position in the rank's communication-op list
         self.pc = {r: 0 for r in traces}
-        #: rank -> (TracedOp, [unfinished tokens]) while blocked
-        self.blocked: dict[int, tuple[TracedOp, list[object]]] = {}
+        #: rank -> (op index, [unfinished tokens]) while blocked
+        self.blocked: dict[int, tuple[int, list[object]]] = {}
         #: findings made while scheduling (e.g. collective re-entry)
         self.extra: list[Diagnostic] = []
-        self._current: TracedOp | None = None
 
     # ------------------------------------------------------------------
     # matching (timeless mirror of SimMPI's FIFO rules)
     # ------------------------------------------------------------------
-    def _complete(self, token: object) -> None:
-        self.done.add(token)
-
     def _post_send(self, dst: int, src: int, tag: int, size: float,
                    token: object) -> None:
         if size < self.eager:
-            self._complete(token)       # eager: completes on buffering
+            self.done.add(token)        # eager: completes on buffering
         queue = self.recvs[dst]
-        for i, rp in enumerate(queue):
-            if rp.tag == tag and rp.src in (src, ops.ANY_SOURCE):
-                queue.pop(i)
-                self._complete(token)
-                self._complete(rp.token)
+        for i, (rsrc, rtag, rtoken) in enumerate(queue):
+            if rtag == tag and rsrc in (src, ops.ANY_SOURCE):
+                del queue[i]
+                self.done.add(token)
+                self.done.add(rtoken)
                 return
-        self.sends[dst].append(_Pending(src, tag, token))
+        self.sends[dst].append((src, tag, token))
 
     def _post_recv(self, dst: int, src: int, tag: int,
                    token: object) -> None:
         queue = self.sends[dst]
-        for i, sp in enumerate(queue):
-            if sp.tag == tag and src in (sp.src, ops.ANY_SOURCE):
-                queue.pop(i)
-                self._complete(sp.token)
-                self._complete(token)
+        for i, (ssrc, stag, stoken) in enumerate(queue):
+            if stag == tag and src in (ssrc, ops.ANY_SOURCE):
+                del queue[i]
+                self.done.add(stoken)
+                self.done.add(token)
                 return
-        self.recvs[dst].append(_Pending(src, tag, token))
+        self.recvs[dst].append((src, tag, token))
 
-    def _arrive_collective(self, rank: int, op: Any,
+    def _arrive_collective(self, rank: int, index: int, op: Any,
                            token: object) -> None:
         members = self.comms.get(op.comm)
         if members is None or rank not in members:
-            self._complete(token)       # already flagged by check_domains
+            self.done.add(token)        # already flagged by the checks
             return
         state = self.coll.setdefault(op.comm, _CollPending())
         if rank in state.arrived:
@@ -114,12 +112,9 @@ class _Scheduler:
             # comm while the rank's earlier (nonblocking) one is still
             # pending — the runtime raises CommunicatorError here under
             # the same schedule
-            rec = self._current
             self.extra.append(Diagnostic(
                 check="collective-reentry", severity="error",
-                rank=rank,
-                op_index=rec.index if rec is not None else None,
-                op=rec.describe() if rec is not None else "",
+                rank=rank, op_index=index, op=ops.describe_op(op),
                 message=f"rank {rank} enters a collective on {op.comm!r} "
                         f"again before its previous nonblocking "
                         f"collective completed",
@@ -127,95 +122,106 @@ class _Scheduler:
                      "issuing the next collective on the same "
                      "communicator",
             ))
-            self._complete(token)
+            self.done.add(token)
             return
         state.arrived.add(rank)
         state.tokens.append(token)
         if len(state.arrived) == len(members):
-            for t in state.tokens:
-                self._complete(t)
+            self.done.update(state.tokens)
             del self.coll[op.comm]
 
     # ------------------------------------------------------------------
-    def _issue(self, rank: int, rec: TracedOp) -> list[object]:
-        """Execute one op; returns the tokens it blocks on (empty =
-        continues immediately)."""
-        op = rec.op
-        self._current = rec
-        n_ranks = len(self.traces)
-
-        def valid(peer: int) -> bool:
-            return 0 <= peer < n_ranks and peer != rank
-
-        if isinstance(op, (ops.Isend, ops.Send)):
-            token = rec.request if rec.request is not None else object()
-            if valid(op.dst):
-                self._post_send(op.dst, rank, op.tag, op.size_bytes, token)
-            else:
-                self._complete(token)   # flagged by check_domains
-            if isinstance(op, ops.Send):
-                return [token]
-            return []
-        if isinstance(op, (ops.Irecv, ops.Recv)):
-            token = rec.request if rec.request is not None else object()
-            if op.src == ops.ANY_SOURCE or valid(op.src):
-                self._post_recv(rank, op.src, op.tag, token)
-            else:
-                self._complete(token)
-            if isinstance(op, ops.Recv):
-                return [token]
-            return []
-        if isinstance(op, ops.Sendrecv):
-            stok, rtok = object(), object()
-            if valid(op.dst):
-                self._post_send(op.dst, rank, op.send_tag, op.size_bytes,
-                                stok)
-            else:
-                self._complete(stok)
-            if op.src == ops.ANY_SOURCE or valid(op.src):
-                self._post_recv(rank, op.src, op.recv_tag, rtok)
-            else:
-                self._complete(rtok)
-            return [stok, rtok]
-        if isinstance(op, ops.WaitAll):
-            return [item for item in op.requests
-                    if isinstance(item, TracedRequest)]
-        if isinstance(op, ops.NONBLOCKING_COLLECTIVE_OPS):
-            token = rec.request if rec.request is not None else object()
-            self._arrive_collective(rank, op, token)
-            return []
-        if isinstance(op, ops.COLLECTIVE_OPS):
-            token = object()
-            self._arrive_collective(rank, op, token)
-            return [token]
-        return []                       # local op: free under abstraction
-
     def _advance(self, rank: int) -> bool:
         """Run one rank as far as possible; True if any op executed or a
-        blocked wait resolved."""
+        blocked wait resolved.
+
+        Local ops are free under the abstraction, so only the rank's
+        communication ops are walked.  Each op posts its sends, receives
+        or collective arrival, then blocks the rank on the tokens it has
+        to wait for that are not done yet.
+        """
         progressed = False
+        done = self.done
         if rank in self.blocked:
-            rec, tokens = self.blocked[rank]
-            tokens = [t for t in tokens if t not in self.done]
+            index, tokens = self.blocked[rank]
+            tokens = [t for t in tokens if t not in done]
             if tokens:
-                self.blocked[rank] = (rec, tokens)
+                self.blocked[rank] = (index, tokens)
                 return False
             del self.blocked[rank]
             progressed = True
-        trace = self.traces[rank].ops
-        while self.pc[rank] < len(trace):
-            rec = trace[self.pc[rank]]
-            self.pc[rank] += 1
+        trace = self.traces[rank]
+        comm, kinds, raw = trace.comm, trace.kinds, trace.raw
+        requests = trace.requests
+        n_ranks = self.n_ranks
+        post_send, post_recv = self._post_send, self._post_recv
+        pc, end = self.pc[rank], len(comm)
+        while pc < end:
+            index = comm[pc]
+            pc += 1
             progressed = True
-            waits = [t for t in self._issue(rank, rec)
-                     if t not in self.done]
-            if waits:
-                self.blocked[rank] = (rec, waits)
-                break
+            kind, op = kinds[index], raw[index]
+            if kind == _ISEND or kind == _SEND:
+                token = requests[index] if kind == _ISEND else object()
+                if 0 <= op.dst < n_ranks and op.dst != rank:
+                    post_send(op.dst, rank, op.tag, op.size_bytes, token)
+                else:
+                    done.add(token)     # flagged by the checks
+                if kind == _ISEND or token in done:
+                    continue
+                tokens = [token]
+            elif kind == _IRECV or kind == _RECV:
+                token = requests[index] if kind == _IRECV else object()
+                src = op.src
+                if src == ops.ANY_SOURCE or (0 <= src < n_ranks and
+                                             src != rank):
+                    post_recv(rank, src, op.tag, token)
+                else:
+                    done.add(token)
+                if kind == _IRECV or token in done:
+                    continue
+                tokens = [token]
+            elif kind == _WAITALL:
+                tokens = [item for item in op.requests
+                          if isinstance(item, TracedRequest)
+                          and item not in done]
+                if not tokens:
+                    continue
+            elif kind == _ICOLLECTIVE:
+                self._arrive_collective(rank, index, op, requests[index])
+                continue
+            elif kind == _COLLECTIVE:
+                token = object()
+                self._arrive_collective(rank, index, op, token)
+                if token in done:
+                    continue
+                tokens = [token]
+            else:   # Sendrecv
+                stok, rtok = object(), object()
+                if 0 <= op.dst < n_ranks and op.dst != rank:
+                    post_send(op.dst, rank, op.send_tag, op.size_bytes,
+                              stok)
+                else:
+                    done.add(stok)
+                src = op.src
+                if src == ops.ANY_SOURCE or (0 <= src < n_ranks and
+                                             src != rank):
+                    post_recv(rank, src, op.recv_tag, rtok)
+                else:
+                    done.add(rtok)
+                tokens = [t for t in (stok, rtok) if t not in done]
+                if not tokens:
+                    continue
+            self.blocked[rank] = (index, tokens)
+            break
+        self.pc[rank] = pc
         return progressed
 
     # ------------------------------------------------------------------
     def run(self) -> list[Diagnostic]:
+        # The round-robin order over sorted ranks is part of the result:
+        # which receive a wildcard matches, and whether a rank re-enters
+        # a collective, both depend on it.
         ranks = sorted(self.traces)
         progress = True
         while progress:
@@ -227,32 +233,33 @@ class _Scheduler:
                              if rank in self.blocked]
 
     def _stuck_diag(self, rank: int) -> Diagnostic:
-        rec, tokens = self.blocked[rank]
+        index, tokens = self.blocked[rank]
+        trace = self.traces[rank]
+        op = trace.raw[index]
+        text = ops.describe_op(op)
+        why = self._explain(trace.kinds[index], op, tokens)
         return Diagnostic(
             check="deadlock", severity="error",
-            rank=rank, op_index=rec.index, op=rec.describe(),
-            message=f"rank {rank} blocks forever on {rec.describe()}: "
-                    f"{self._explain(rank, rec, tokens)}",
+            rank=rank, op_index=index, op=text,
+            message=f"rank {rank} blocks forever on {text}: {why}",
             hint=_HINT,
         )
 
-    def _explain(self, rank: int, rec: TracedOp,
-                 tokens: list[object]) -> str:
-        op = rec.op
-        if isinstance(op, ops.Send):
+    def _explain(self, kind: int, op: Any, tokens: list[object]) -> str:
+        if kind == _SEND:
             return (f"rendezvous-size send; rank {op.dst} never posts the "
                     f"matching receive (tag {op.tag})")
-        if isinstance(op, ops.Recv):
+        if kind == _RECV:
             src = "ANY_SOURCE" if op.src == ops.ANY_SOURCE else op.src
             return f"no send from {src} with tag {op.tag} remains"
-        if isinstance(op, ops.Sendrecv):
+        if kind == ops.KIND_SENDRECV:
             return "its send and/or receive half never matches"
-        if isinstance(op, ops.WaitAll):
+        if kind == _WAITALL:
             unfinished = [t.describe() for t in tokens
                           if isinstance(t, TracedRequest)]
             return "unfinished: " + "; ".join(unfinished[:4]) + \
                 ("; ..." if len(unfinished) > 4 else "")
-        if ops.is_collective(op):
+        if kind == _COLLECTIVE:
             state = self.coll.get(op.comm)
             members = self.comms.get(op.comm, ())
             if state is not None:

@@ -31,7 +31,7 @@ import hashlib
 #: Bump when any check's *behaviour* changes without its rule id set
 #: changing (tightened threshold, wider trigger, message overhaul that
 #: tools parse).  Rule-id additions/removals re-fingerprint on their own.
-ANALYZER_VERSION = 2
+ANALYZER_VERSION = 3
 
 #: Correctness rules (``repro lint``).
 LINT_RULES: dict[str, str] = {

@@ -13,6 +13,13 @@ A program that raises during replay — a :class:`ConfigurationError` from
 an op constructor, a decomposition failure, an ``IndexError`` in user
 code — becomes a per-rank failure diagnostic instead of an exception, so
 one broken rank cannot hide findings on the others.
+
+The trace is compact: each yielded value is classified once by the
+op-kind table of :mod:`repro.runtime.program` and kept as it is, with
+its kind code, its request token if it has one, and (for communication
+ops) its index in a per-rank list.  The structural checks and the
+symbolic scheduler dispatch on those codes; :class:`TracedOp` records
+exist only for readers of :attr:`ProgramTrace.ops`.
 """
 
 from __future__ import annotations
@@ -26,6 +33,10 @@ from repro.runtime import program as ops
 #: Per-rank op budget: a guard against unbounded generators (a while-True
 #: program would otherwise hang the analyzer, not the simulation).
 DEFAULT_MAX_OPS = 1_000_000
+
+#: Kinds the executor answers with a request handle.
+_REQUEST_KINDS = frozenset((ops.KIND_ISEND, ops.KIND_IRECV,
+                            ops.KIND_ICOLLECTIVE))
 
 
 class TracedRequest:
@@ -65,47 +76,79 @@ class TracedOp:
 
 
 class ProgramTrace:
-    """Everything one rank's replay produced."""
+    """Everything one rank's replay produced, kept compact: the raw
+    yielded values with one kind code each, the request tokens, and the
+    indices of the communication ops.  :attr:`ops` wraps them in
+    :class:`TracedOp` records on first read."""
 
-    __slots__ = ("rank", "ops", "failure", "truncated")
+    __slots__ = ("rank", "raw", "kinds", "requests", "comm", "failure",
+                 "truncated", "_ops")
 
     def __init__(self, rank: int) -> None:
         self.rank = rank
-        self.ops: list[TracedOp] = []
+        #: Every yielded value in order; the list index is the op index.
+        self.raw: list[Any] = []
+        #: :func:`~repro.runtime.program.op_kind` of each yielded value.
+        self.kinds: list[int] = []
+        #: op index -> the token sent back for a request-yielding op.
+        self.requests: dict[int, TracedRequest] = {}
+        #: Op indices of the communication ops, in order.
+        self.comm: list[int] = []
         #: Diagnostic when the generator raised; replay stops there.
         self.failure: Diagnostic | None = None
         #: True when the op budget cut the replay short.
         self.truncated = False
+        self._ops: list[TracedOp] | None = None
+
+    @property
+    def ops(self) -> list[TracedOp]:
+        """One :class:`TracedOp` per yielded value."""
+        if self._ops is None:
+            get = self.requests.get
+            self._ops = [TracedOp(self.rank, i, op, get(i))
+                         for i, op in enumerate(self.raw)]
+        return self._ops
 
 
 def trace_rank(factory: Callable[[int, int], Iterator], rank: int,
                n_ranks: int, max_ops: int = DEFAULT_MAX_OPS) -> ProgramTrace:
     """Replay one rank's program into a :class:`ProgramTrace`."""
     trace = ProgramTrace(rank)
-    records = trace.ops
+    raw, requests = trace.raw, trace.requests
+    append_op, append_kind = raw.append, trace.kinds.append
+    append_comm = trace.comm.append
+    kind_of = ops.OP_KINDS.get
+    first_comm, request_kinds = ops.KIND_SEND, _REQUEST_KINDS
     try:
         gen = factory(rank, n_ranks)
-        send_value = None
+        send = gen.send
+        send_value: TracedRequest | None = None
+        index = 0
         while True:
             try:
-                op = gen.send(send_value)
+                op = send(send_value)
             except StopIteration:
                 break
-            send_value = None
-            index = len(records)
             if index >= max_ops:
                 trace.truncated = True
                 gen.close()
                 break
-            request = None
-            if ops.yields_request(op):
-                request = TracedRequest(rank, index, op)
-                send_value = request
-            records.append(TracedOp(rank, index, op, request))
+            kind = kind_of(type(op))
+            if kind is None:
+                kind = ops.op_kind(op)
+            append_op(op)
+            append_kind(kind)
+            send_value = None
+            if kind >= first_comm:
+                append_comm(index)
+                if kind in request_kinds:
+                    send_value = requests[index] = \
+                        TracedRequest(rank, index, op)
+            index += 1
     except ReproError as exc:
         trace.failure = Diagnostic(
             check="program-config", severity="error",
-            rank=rank, op_index=len(records),
+            rank=rank, op_index=len(raw),
             message=f"program raised {type(exc).__name__}: {exc}",
             hint="fix the rank program or the dataset parameters; the "
                  "simulation would fail at the same point",
@@ -113,7 +156,7 @@ def trace_rank(factory: Callable[[int, int], Iterator], rank: int,
     except Exception as exc:  # noqa: BLE001 - surface user-code crashes
         trace.failure = Diagnostic(
             check="program-crash", severity="error",
-            rank=rank, op_index=len(records),
+            rank=rank, op_index=len(raw),
             message=f"program crashed with {type(exc).__name__}: {exc}",
             hint="the rank program has a Python bug that would also kill "
                  "the simulation",

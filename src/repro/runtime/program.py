@@ -298,38 +298,45 @@ COLLECTIVE_OPS = (Barrier, Bcast, Reduce, Allreduce, Allgather, Alltoall,
 #: Non-blocking collectives (yield a request; complete via WaitAll).
 NONBLOCKING_COLLECTIVE_OPS = (IAllreduce, IBarrier)
 
-#: Point-to-point operations.
-P2P_OPS = (Send, Recv, Isend, Irecv, Sendrecv)
-
-#: Operations that carry no MPI semantics (local to the rank).
-LOCAL_OPS = (Compute, Sleep, FileRead, FileWrite)
-
-#: Every op class a rank program may yield.
-ALL_OPS = LOCAL_OPS + P2P_OPS + (WaitAll,) + COLLECTIVE_OPS \
-    + NONBLOCKING_COLLECTIVE_OPS
-
 
 # ----------------------------------------------------------------------
-# introspection hooks (used by the static analyzer and error reporting)
+# the op-kind table (used by the static analyzer)
 # ----------------------------------------------------------------------
-def is_collective(op) -> bool:
-    """True for any collective, blocking or not."""
-    return isinstance(op, (COLLECTIVE_OPS, NONBLOCKING_COLLECTIVE_OPS))
+#: Kind codes of :func:`op_kind`.  Every code from :data:`KIND_SEND` up
+#: is a communication op; the codes below it carry no MPI semantics.
+KIND_UNKNOWN = 0        # not a program op at all
+KIND_COMPUTE = 1
+KIND_LOCAL = 2          # Sleep, FileRead, FileWrite
+KIND_SEND = 3
+KIND_ISEND = 4
+KIND_RECV = 5
+KIND_IRECV = 6
+KIND_SENDRECV = 7
+KIND_WAITALL = 8
+KIND_COLLECTIVE = 9     # blocking collectives
+KIND_ICOLLECTIVE = 10   # nonblocking collectives
+
+#: Exact op class -> kind code: one dict lookup per yielded op.
+OP_KINDS: dict[type, int] = {
+    Compute: KIND_COMPUTE, Sleep: KIND_LOCAL, FileRead: KIND_LOCAL,
+    FileWrite: KIND_LOCAL, Send: KIND_SEND, Isend: KIND_ISEND,
+    Recv: KIND_RECV, Irecv: KIND_IRECV, Sendrecv: KIND_SENDRECV,
+    WaitAll: KIND_WAITALL,
+    **{cls: KIND_COLLECTIVE for cls in COLLECTIVE_OPS},
+    **{cls: KIND_ICOLLECTIVE for cls in NONBLOCKING_COLLECTIVE_OPS},
+}
 
 
-def is_p2p(op) -> bool:
-    """True for point-to-point operations (including ``Sendrecv``)."""
-    return isinstance(op, P2P_OPS)
-
-
-def yields_request(op) -> bool:
-    """True when the executor sends a request handle back for this op."""
-    return isinstance(op, (Isend, Irecv) + NONBLOCKING_COLLECTIVE_OPS)
-
-
-def is_known_op(op) -> bool:
-    """True when the executor would accept this yielded value."""
-    return isinstance(op, ALL_OPS)
+def op_kind(op) -> int:
+    """Kind code of a yielded value; subclasses of an op class take its
+    kind, anything else is :data:`KIND_UNKNOWN`."""
+    kind = OP_KINDS.get(type(op))
+    if kind is not None:
+        return kind
+    for cls, code in OP_KINDS.items():
+        if isinstance(op, cls):
+            return code
+    return KIND_UNKNOWN
 
 
 def collective_root(op) -> int | None:

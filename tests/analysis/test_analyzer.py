@@ -57,6 +57,33 @@ class TestAnalyzeJob:
         assert report.by_check("unknown-kernel")
         assert "triad" in report.by_check("unknown-kernel")[0].hint
 
+    def test_unknown_kernel_on_middle_rank_flagged(self):
+        """Every rank's Compute ops are checked, not only the first and
+        last rank's: the runtime would fail on rank 1 mid-run."""
+        def program(rank, size):
+            yield Compute(kernel="dgemm" if rank == 1 else "triad",
+                          iters=1000)
+            yield Allreduce(size_bytes=8)
+
+        diags = analyze_job(make_job(program, n_ranks=3)).by_check(
+            "unknown-kernel")
+        assert [(d.rank, d.op_index) for d in diags] == [(1, 0)]
+        assert "'dgemm'" in diags[0].message
+
+    def test_unknown_kernel_reported_once_lowest_rank_first(self):
+        def program(rank, size):
+            yield Compute(kernel="triad", iters=10)
+            if rank >= 1:
+                yield Compute(kernel="dgemm", iters=10)
+            if rank == 2:
+                yield Compute(kernel="spmv", iters=10)
+
+        diags = analyze_job(make_job(program, n_ranks=4)).by_check(
+            "unknown-kernel")
+        assert [(d.rank, d.op_index) for d in diags] == [(1, 1), (2, 2)]
+        assert "'dgemm'" in diags[0].message
+        assert "'spmv'" in diags[1].message
+
     def test_eager_threshold_comes_from_cluster(self):
         """A sub-threshold cyclic Send ring must not be a deadlock when
         the job's own network would buffer it eagerly."""
