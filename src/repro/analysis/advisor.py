@@ -187,14 +187,13 @@ def _advise_fresh(config: ExperimentConfig) -> DiagnosticReport:
     profile = analytic._profile(config.app, config.dataset, config.n_ranks)
     compiled = analytic._compiled(config.app, config.dataset,
                                   config.options_preset, config.processor)
-    census = placement.threads_per_domain
     per_dom_cores = cluster.node.chips[0].domains[0].n_cores
 
     _check_thread_spans(report, config, cluster, placement, profile,
                         per_dom_cores)
     _check_boundedness(report, cluster, placement, breakdown, profile)
     _check_access_patterns(report, cluster, breakdown, profile, compiled,
-                           census, placement)
+                           placement)
     _check_load_balance(report, breakdown)
     _check_collectives(report, breakdown)
     _check_subscription(report, config, cluster, placement)
@@ -205,7 +204,7 @@ def _check_thread_spans(report: DiagnosticReport, config: ExperimentConfig,
                         cluster: Cluster, placement: JobPlacement,
                         profile: AppProfile, per_dom_cores: int) -> None:
     """perf-cmg-span + perf-remote-traffic, per rank class."""
-    from repro.runtime.openmp import fork_join_overhead
+    from repro.runtime.openmp import fork_join_overhead, stream_share
 
     for cls in profile.classes:
         spanned = placement.domains_spanned(cls.rep_rank)
@@ -228,21 +227,18 @@ def _check_thread_spans(report: DiagnosticReport, config: ExperimentConfig,
             ))
         if config.data_policy == "serial-init":
             home = placement.home_domain(cls.rep_rank)
-            home_dom = cluster.node.chips[home[1]].domains[home[2]]
             census = placement.threads_per_domain
-            home_active = max(1, census.get(home, 1))
-            local = home_dom.memory.per_stream_bandwidth(home_active)
-            chip = cluster.node.chips[home[1]]
-            remote = local * chip.remote_access_fraction
-            away = sum(
-                1 for a in placement.thread_cores(cls.rep_rank)
-                if (a.node, a.chip, a.domain) != home
-            )
+            away = [key for a in placement.thread_cores(cls.rep_rank)
+                    if (key := (a.node, a.chip, a.domain)) != home]
+            local = stream_share(cluster, home, census, home, "serial-init")
+            remote = stream_share(cluster, away[0], census, home,
+                                  "serial-init")
+            chip = cluster.node.chips[away[0][1]]
             report.add(Diagnostic(
                 check="perf-remote-traffic", severity="warning",
                 rank=cls.rep_rank,
                 message=f"serial-init homes rank {cls.rep_rank}'s data on "
-                        f"CMG {home[2]}; {away} of {config.n_threads} "
+                        f"CMG {home[2]}; {len(away)} of {config.n_threads} "
                         f"threads stream remotely at {_gbs(remote)} vs "
                         f"{_gbs(local)} local "
                         f"({chip.remote_access_fraction:.0%} ring penalty)",
@@ -303,7 +299,6 @@ def _check_boundedness(report: DiagnosticReport, cluster: Cluster,
 def _check_access_patterns(report: DiagnosticReport, cluster: Cluster,
                            breakdown: ConfigBreakdown, profile: AppProfile,
                            compiled: dict[str, CompiledKernel],
-                           census: dict[tuple[int, int, int], int],
                            placement: JobPlacement) -> None:
     """perf-gather-stride + perf-working-set-spill, per costly kernel."""
     significant = [g for _, g in _significant_groups(breakdown)]

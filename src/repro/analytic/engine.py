@@ -16,13 +16,18 @@ scores a whole batch of configurations in one NumPy array pass:
    storage model produce the same :class:`~repro.core.runner.Row` fields
    the event executor emits.
 
-The per-iteration constants are obtained by calling the *event engine's
-own* ``phase_time`` with unit iteration count and unit bandwidth shares,
-so the two engines share one arithmetic by construction; what the
-analytic engine drops is event-level dynamics — fault injection, message
-protocol stalls (NIC serialization, torus contention, eager/rendezvous),
-arrival skew at synchronization points, and storage contention between
-ranks.  Those need ``engine="event"`` (see DESIGN.md).
+Both engines take per-context shares, working sets and region
+overheads from one kernel (:func:`repro.runtime.openmp.region_contexts`,
+:func:`~repro.runtime.openmp.region_overhead`) and per-iteration
+constants from the event engine's own ``phase_time``.  Each keeps its
+own iteration arithmetic (``max_thread_iters(op.iters)`` there,
+``max_thread_iters(1.0) * iters`` here, which round differently) and its
+own tie order between equal-time contexts (see :func:`_compile_config`).
+What the analytic engine drops is event-level dynamics — fault
+injection, message protocol stalls (NIC serialization, torus
+contention, eager/rendezvous), arrival skew at synchronization points,
+and storage contention between ranks.  Those need ``engine="event"``
+(see DESIGN.md).
 
 Determinism: scoring is pure float arithmetic over deterministically
 ordered profiles, so repeated runs are bit-identical.
@@ -38,7 +43,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Any
+from typing import Any, Iterator
 
 import numpy as np
 
@@ -51,12 +56,12 @@ from repro.core.runner import Row
 from repro.errors import ConfigurationError, EngineDisagreement, SimulationError
 from repro.kernels.timing import phase_time
 from repro.machine import catalog
-from repro.machine.numa import NumaDomain
 from repro.machine.topology import Cluster
 from repro.miniapps import by_name
 from repro.runtime import program as ops
 from repro.runtime.collectives import collective_time, profile_communicator
-from repro.runtime.openmp import _thread_iters, fork_join_overhead
+from repro.runtime.openmp import (max_thread_iters, region_contexts,
+                                  region_overhead)
 from repro.runtime.placement import JobPlacement
 
 #: Engine names accepted by ``run_config`` / ``run_sweep`` / the CLI.
@@ -76,18 +81,8 @@ GFLOPS_RTOL = 0.10
 #: Configs the ``auto`` engine re-simulates per sweep.
 AUTO_SAMPLE_SIZE = 3
 
-_COLLECTIVE_CLASSES = {
-    "barrier": ops.Barrier,
-    "bcast": ops.Bcast,
-    "reduce": ops.Reduce,
-    "allreduce": ops.Allreduce,
-    "allgather": ops.Allgather,
-    "alltoall": ops.Alltoall,
-    "gather": ops.Gather,
-    "scatter": ops.Scatter,
-    "reducescatter": ops.ReduceScatter,
-    "scan": ops.Scan,
-}
+_COLLECTIVE_CLASSES = {cls.__name__.lower(): cls
+                       for cls in ops.COLLECTIVE_OPS}
 
 
 def check_engine(engine: str) -> str:
@@ -211,7 +206,6 @@ class _Compiled:
     class_comm_s: list[float]       # collective + p2p seconds per class
     class_other_s: list[float]      # sleep + file I/O seconds per class
     class_comm_items: list[tuple[tuple[str, float], ...]]
-    n_ranks: int
 
 
 def _class_comm_items(cluster: Cluster, placement: JobPlacement,
@@ -269,17 +263,6 @@ def _class_comm_items(cluster: Cluster, placement: JobPlacement,
     return items
 
 
-def _mem_share(cluster: Cluster, dom: NumaDomain, key: tuple,
-               active: int, home_key: tuple, home_active: int,
-               data_policy: str) -> float:
-    if data_policy == "serial-init" and key != home_key:
-        home_dom = cluster.node.chips[home_key[1]].domains[home_key[2]]
-        chip = cluster.node.chips[key[1]]
-        return (home_dom.memory.per_stream_bandwidth(home_active)
-                * chip.remote_access_fraction)
-    return dom.memory.per_stream_bandwidth(active)
-
-
 def _compile_config(config: ExperimentConfig,
                     columns: list[list[float]]) -> _Compiled:
     """Turn one config into batch entries appended onto ``columns``."""
@@ -305,36 +288,28 @@ def _compile_config(config: ExperimentConfig,
     for class_idx, cls in enumerate(profile.classes):
         addrs = placement.thread_cores(cls.rep_rank)
         home_key = placement.home_domain(cls.rep_rank)
-        home_active = max(1, census.get(home_key, 1))
 
         for g in cls.compute:
             use_addrs = addrs[:1] if g.serial else addrs
             n_threads = len(use_addrs)
-            # distinct NUMA domains this group's threads occupy, with the
-            # rank's own thread count in each (shared-L2 footprint scale)
-            contexts: dict[tuple, int] = {}
-            for a in use_addrs:
-                k = (a.node, a.chip, a.domain)
-                contexts[k] = contexts.get(k, 0) + 1
-
-            unit_max, chunk_s = _thread_iters(1.0, n_threads, g.schedule,
-                                              g.imbalance)
-            per_region = chunk_s if g.serial else \
-                fork_join_overhead(n_threads, len(contexts)) + chunk_s
+            unit_max = max_thread_iters(1.0, n_threads, g.schedule,
+                                        g.imbalance)
+            contexts = region_contexts(use_addrs, cluster, census, home_key,
+                                       config.data_policy,
+                                       g.working_set_scale)
+            per_region = region_overhead(n_threads, len(contexts),
+                                         g.schedule, g.serial)
 
             start = len(columns[0])
-            for ctx_key, rank_threads_here in sorted(contexts.items()):
-                dom = cluster.node.chips[ctx_key[1]].domains[ctx_key[2]]
-                active = max(1, census.get(ctx_key, 1))
-                ws = g.working_set_scale
-                if dom.l2.shared and rank_threads_here > 1:
-                    ws *= max(0.3, 1.0 / rank_threads_here ** 0.5)
-                consts = _phase_consts(*key, g.kernel, ws)
-                mem = _mem_share(cluster, dom, ctx_key, active,
-                                 home_key, home_active, config.data_policy)
-                l2 = dom.l2_bandwidth_share(active)
-                row = consts + (l2, mem)
-                for col, v in zip(columns, row):
+            # Sorted domain order, not the event engine's first
+            # appearance: the batch pass keeps the first of equal-time
+            # contexts, which sets the group's DRAM volume, and the two
+            # orders differ for wrap-around strides (A64FX 3x16 stride-4
+            # cyclic), so switching would change analytic rows.
+            for ctx in sorted(contexts, key=lambda c: c.key):
+                consts = _phase_consts(*key, g.kernel, ctx.working_set_scale)
+                for col, v in zip(columns, consts[:6] + (ctx.l2_share,
+                                                         ctx.mem_share)):
                     col.append(v)
             groups.append(_Group(
                 start=start, end=len(columns[0]),
@@ -363,8 +338,7 @@ def _compile_config(config: ExperimentConfig,
     return _Compiled(config=config, groups=groups, class_ranks=class_ranks,
                      class_rep_ranks=class_rep_ranks,
                      class_comm_s=class_comm, class_other_s=class_other,
-                     class_comm_items=class_comm_items,
-                     n_ranks=config.n_ranks)
+                     class_comm_items=class_comm_items)
 
 
 # ----------------------------------------------------------------------
@@ -383,13 +357,40 @@ def score_configs(configs: list[ExperimentConfig]
         return _score_configs_batch(configs)
 
 
+#: Entry columns: ``_phase_consts[:6]``, then l2_share and mem_share.
+_N_COLUMNS = 8
+
+
+def _roofline(columns: list[list[float]]
+              ) -> tuple[dict[str, np.ndarray], np.ndarray, np.ndarray]:
+    """Per-phase seconds/iteration, ``T_iter`` and DRAM bytes/iteration
+    of every entry: the one roofline pass."""
+    t_comp, t_l1, l2_num, dram_num, t_lat, dram_it, l2_share, mem_share = (
+        np.asarray(c, dtype=float) for c in columns)
+    t_l2 = l2_num / l2_share
+    t_dram = dram_num / mem_share
+    t_iter = np.maximum(np.maximum(t_comp, t_l1),
+                        np.maximum(t_l2, t_dram)) + t_lat
+    phases = {"compute": t_comp, "l1": t_l1, "l2": t_l2, "dram": t_dram,
+              "latency": t_lat}
+    return phases, t_iter, dram_it
+
+
+def _critical(comp: _Compiled, t_iter: np.ndarray
+              ) -> Iterator[tuple[_Group, int, float, float]]:
+    """``(group, entry, iter_s, seconds)`` of each group's critical
+    (first slowest) context; seconds include the region overhead."""
+    for g in comp.groups:
+        j = g.start + int(np.argmax(t_iter[g.start:g.end]))
+        iter_s = float(t_iter[j])
+        yield g, j, iter_s, iter_s * g.max_iters + g.overhead_s
+
+
 def _score_configs_batch(configs: list[ExperimentConfig]
                          ) -> list[Row | Exception]:
     results: list[Any] = [None] * len(configs)
     compiled: list[tuple[int, _Compiled]] = []
-    # entry columns: t_comp, t_l1, l2_num, dram_num, t_lat,
-    #                dram_bytes/iter, flops/iter, l2_share, mem_share
-    columns: list[list[float]] = [[] for _ in range(9)]
+    columns: list[list[float]] = [[] for _ in range(_N_COLUMNS)]
     for i, config in enumerate(configs):
         mark = len(columns[0])
         try:
@@ -401,27 +402,18 @@ def _score_configs_batch(configs: list[ExperimentConfig]
                 del col[mark:]
 
     if compiled:
-        t_comp, t_l1, l2_num, dram_num, t_lat, dram_it, _flops_it, \
-            l2_share, mem_share = (np.asarray(c, dtype=float)
-                                   for c in columns)
-        t_iter = np.maximum(
-            np.maximum(t_comp, t_l1),
-            np.maximum(l2_num / l2_share, dram_num / mem_share),
-        ) + t_lat
+        t_iter, dram_it = _roofline(columns)[1:]
 
     for i, comp in compiled:
         n_classes = len(comp.class_ranks)
         compute_s = [0.0] * n_classes
         flops_c = [0.0] * n_classes
         dram_c = [0.0] * n_classes
-        for g in comp.groups:
-            seg = t_iter[g.start:g.end]
-            j = int(np.argmax(seg)) if g.end > g.start else 0
-            worst = float(seg[j]) if g.end > g.start else 0.0
-            compute_s[g.class_idx] += worst * g.max_iters + g.overhead_s
+        for g, j, _, seconds in _critical(comp, t_iter):
+            compute_s[g.class_idx] += seconds
             # work accounting mirrors the event engine: DRAM volume of
             # the critical context, FLOPs of the full iteration count
-            dram_c[g.class_idx] += float(dram_it[g.start + j]) * g.iters
+            dram_c[g.class_idx] += float(dram_it[j]) * g.iters
             flops_c[g.class_idx] += g.flops_per_iter * g.iters
 
         totals = [compute_s[c] + comp.class_comm_s[c] + comp.class_other_s[c]
@@ -431,7 +423,7 @@ def _score_configs_batch(configs: list[ExperimentConfig]
         total_dram = sum(r * d for r, d in zip(comp.class_ranks, dram_c))
         comm_mean = sum(r * s for r, s in
                         zip(comp.class_ranks, comp.class_comm_s)) \
-            / comp.n_ranks
+            / comp.config.n_ranks
         results[i] = Row(
             config=comp.config,
             elapsed=elapsed,
@@ -517,11 +509,6 @@ class ConfigBreakdown:
     groups: tuple[GroupCost, ...]
     elapsed: float
 
-    @property
-    def critical_class(self) -> ClassCost:
-        """The class whose total sets the elapsed time."""
-        return max(self.classes, key=lambda c: c.total_s)
-
     def class_groups(self, class_idx: int) -> list[GroupCost]:
         return [g for g in self.groups if g.class_idx == class_idx]
 
@@ -533,43 +520,24 @@ def config_breakdown(config: ExperimentConfig) -> ConfigBreakdown:
     decomposition, unknown-kernel errors); never runs the event
     executor.
     """
-    columns: list[list[float]] = [[] for _ in range(9)]
+    columns: list[list[float]] = [[] for _ in range(_N_COLUMNS)]
     comp = _compile_config(config, columns)
-    (t_comp, t_l1, l2_num, dram_num, t_lat,
-     _dram_it, _flops_it, l2_share, mem_share) = columns
+    phases, t_iter, _ = _roofline(columns)
 
     n_classes = len(comp.class_ranks)
     compute_s = [0.0] * n_classes
     groups: list[GroupCost] = []
-    for g in comp.groups:
-        best_j, best_t = -1, 0.0
-        for j in range(g.start, g.end):
-            t = max(t_comp[j], t_l1[j],
-                    l2_num[j] / l2_share[j],
-                    dram_num[j] / mem_share[j]) + t_lat[j]
-            if best_j < 0 or t > best_t:
-                best_j, best_t = j, t
-        if best_j < 0:      # group compiled to no contexts
-            per_iter = dict.fromkeys(ECM_PHASES + ("latency",), 0.0)
-            bound = "compute"
-        else:
-            j = best_j
-            per_iter = {
-                "compute": t_comp[j], "l1": t_l1[j],
-                "l2": l2_num[j] / l2_share[j],
-                "dram": dram_num[j] / mem_share[j],
-                "latency": t_lat[j],
-            }
-            bound = max(ECM_PHASES, key=per_iter.__getitem__)
-            if per_iter["latency"] > per_iter[bound]:
-                bound = "latency"
-        seconds = best_t * g.max_iters + g.overhead_s
+    for g, j, iter_s, seconds in _critical(comp, t_iter):
+        per_iter = {phase: float(v[j]) for phase, v in phases.items()}
+        bound = max(ECM_PHASES, key=per_iter.__getitem__)
+        if per_iter["latency"] > per_iter[bound]:
+            bound = "latency"
         compute_s[g.class_idx] += seconds
         groups.append(GroupCost(
             class_idx=g.class_idx, kernel=g.kernel, schedule=g.schedule,
             serial=g.serial, iters=g.iters, regions=g.regions,
             contexts=g.end - g.start, seconds=seconds,
-            overhead_s=g.overhead_s, iter_s=best_t, bound=bound,
+            overhead_s=g.overhead_s, iter_s=iter_s, bound=bound,
             per_iter=per_iter,
         ))
 

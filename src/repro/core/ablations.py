@@ -230,8 +230,7 @@ def a6_mixed_precision(
     """
     import numpy as np
 
-    from repro.compile.compiler import Compiler
-    from repro.kernels.timing import phase_time
+    from repro.core.analysis import saturated_phase
     from repro.miniapps import by_name
     from repro.miniapps.ccs_qcd import physics as qcd
 
@@ -255,18 +254,9 @@ def a6_mixed_precision(
         bytes_store=kern64.bytes_store / 2.0,
         working_set_bytes=kern64.working_set_bytes / 2.0,
     )
-    dom = catalog.a64fx().node.chips[0].domains[0]
-    compiler = Compiler(PRESETS["kfast"])
-    times = {}
-    for name, kern in (("fp64", kern64), ("fp32", kern32)):
-        ck = compiler.compile(kern, dom.core)
-        pt = phase_time(
-            ck, 1e6, dom.core, dom.l1d, dom.l2,
-            mem_bandwidth_share=dom.memory.per_stream_bandwidth(12),
-            l2_bandwidth_share=dom.l2_bandwidth_share(12),
-            mem_latency_s=dom.memory.latency_s,
-        )
-        times[name] = pt.seconds
+    a64fx = catalog.a64fx()
+    times = {name: saturated_phase(kern, a64fx)[1].seconds
+             for name, kern in (("fp64", kern64), ("fp32", kern32))}
 
     t64_total = dirac64_only * times["fp64"]
     t_mixed = dirac64_mixed * times["fp64"] + dirac32_mixed * times["fp32"]

@@ -8,8 +8,8 @@ two components:
   (:func:`repro.core.persistence.config_to_dict` with sorted keys), so the
   key is stable across processes and Python versions;
 * the **model fingerprint** — a digest of the package version, the full
-  processor catalog, the compiler presets, and every miniapp's kernel
-  parameters.  Any change to the simulator's inputs changes the
+  processor catalog, the compiler presets, every miniapp's kernel
+  parameters and the timing code.  Any change to them changes the
   fingerprint, so stale rows self-invalidate instead of silently serving
   results from an older model.
 
@@ -47,6 +47,10 @@ CACHE_FORMAT = 1
 
 _fingerprint_memo: str | None = None
 
+#: The ``repro`` package root, and the packages whose source computes rows.
+_SOURCE_ROOT = Path(__file__).resolve().parent.parent
+_TIMING_PACKAGES = ("analytic", "compile", "kernels", "machine", "runtime")
+
 
 def default_cache_dir() -> Path:
     """``$REPRO_CACHE_DIR``, else ``$XDG_CACHE_HOME/repro``, else
@@ -64,9 +68,11 @@ def model_fingerprint(refresh: bool = False) -> str:
 
     Covers the package version, the repr of every cataloged cluster
     (all hardware parameters are frozen dataclasses, so their reprs are
-    canonical), the compiler presets, and each miniapp's per-dataset
-    kernel descriptors.  Memoized per process; ``refresh=True`` recomputes
-    (tests use this after monkeypatching the catalog).
+    canonical), the compiler presets, each miniapp's per-dataset kernel
+    descriptors, and the source of the timing packages, so a refactor
+    that shifts numbers cannot hide behind a warm cache.  Memoized per
+    process; ``refresh=True`` recomputes (tests use this after
+    monkeypatching the catalog).
     """
     global _fingerprint_memo
     if _fingerprint_memo is not None and not refresh:
@@ -89,6 +95,10 @@ def model_fingerprint(refresh: bool = False) -> str:
             for kname in sorted(kernels):
                 parts.append(f"kernel:{aname}/{dname}/{kname}="
                              f"{kernels[kname]!r}")
+    for package in _TIMING_PACKAGES:
+        for path in sorted((_SOURCE_ROOT / package).glob("*.py")):
+            parts.append(f"source:{package}/{path.name}="
+                         + path.read_text(encoding="utf-8"))
     digest = hashlib.sha256("\n".join(parts).encode()).hexdigest()[:16]
     _fingerprint_memo = digest
     return digest

@@ -134,8 +134,9 @@ def phase_time(
         # efficiency (predication, packing overheads): ~40% of the lane
         # count materializes, which matches the 2-3x compiler-tuning gains
         # the paper reports for the integer-heavy miniapps.
-        lanes = max(1.0, core.simd_lanes_fp64 * 0.4) if ck.int_vectorized else 1.0
-        int_per_cycle = core.scalar_ipc * lanes
+        int_lanes = (max(1.0, core.simd_lanes_fp64 * 0.4)
+                     if ck.int_vectorized else 1.0)
+        int_per_cycle = core.scalar_ipc * int_lanes
         # Integer and FP work issue on different ports: partial overlap.
         t_compute_cycles = max(t_compute_cycles, k.int_ops / int_per_cycle)
     t_compute = t_compute_cycles / core.freq_hz

@@ -16,15 +16,20 @@ placement, computes how long the region takes:
   makes long thread strides lose on single-rank runs;
 * fork/join overhead grows with the thread count and with the number of
   domains spanned (the barrier crosses the ring).
+
+The per-domain inputs and the region overhead come from one kernel
+(:func:`region_contexts`, :func:`region_overhead`) that the analytic
+engine calls too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from repro.errors import ConfigurationError
 from repro.kernels.timing import PhaseTiming, phase_time
+from repro.machine.numa import NumaDomain
 from repro.machine.topology import Cluster, CoreAddress
 from repro.units import US
 
@@ -34,6 +39,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Data-placement policies.
 DATA_POLICIES = ("first-touch", "serial-init")
+
+#: A NUMA domain's ``(node, chip, domain)`` index.
+Domain = tuple[int, int, int]
 
 _FORK_BASE_S = 0.5 * US
 _FORK_PER_THREAD_S = 0.04 * US
@@ -96,20 +104,98 @@ def fork_join_overhead(n_threads: int, n_domains: int) -> float:
     )
 
 
-def _thread_iters(total: float, n_threads: int, schedule: str,
-                  imbalance: float) -> tuple[float, float]:
-    """(max-thread iterations, per-chunk overhead seconds) for a schedule."""
+def max_thread_iters(total: float, n_threads: int, schedule: str,
+                     imbalance: float) -> float:
+    """Iterations of a region's critical (most loaded) thread."""
     mean = total / n_threads
     if schedule == "static":
-        return mean * imbalance, 0.0
+        return mean * imbalance
+    # dynamic/guided rebalance the imbalance away at a per-chunk cost
     if schedule == "dynamic":
-        # dynamic rebalances the imbalance away at a per-chunk cost
-        residual = 1.0 + (imbalance - 1.0) * 0.15
-        return mean * residual, _DYNAMIC_CHUNK_S * _DYNAMIC_CHUNKS_PER_THREAD
+        return mean * (1.0 + (imbalance - 1.0) * 0.15)
     if schedule == "guided":
-        residual = 1.0 + (imbalance - 1.0) * 0.25
-        return mean * residual, _DYNAMIC_CHUNK_S * (_DYNAMIC_CHUNKS_PER_THREAD // 2)
+        return mean * (1.0 + (imbalance - 1.0) * 0.25)
     raise ConfigurationError(f"unknown schedule {schedule!r}")
+
+
+_CHUNK_OVERHEAD_S = {
+    "static": 0.0,
+    "dynamic": _DYNAMIC_CHUNK_S * _DYNAMIC_CHUNKS_PER_THREAD,
+    "guided": _DYNAMIC_CHUNK_S * (_DYNAMIC_CHUNKS_PER_THREAD // 2),
+}
+
+
+def region_overhead(n_threads: int, n_domains: int, schedule: str,
+                    serial: bool) -> float:
+    """Fork/join (none for a serial region) plus chunk overhead, seconds."""
+    if schedule not in _CHUNK_OVERHEAD_S:
+        raise ConfigurationError(f"unknown schedule {schedule!r}")
+    chunk = _CHUNK_OVERHEAD_S[schedule]
+    return chunk if serial else fork_join_overhead(n_threads, n_domains) + chunk
+
+
+def stream_share(cluster: Cluster, key: Domain,
+                 threads_per_domain: dict[Domain, int], home_domain: Domain,
+                 data_policy: str) -> float:
+    """Memory bandwidth, bytes/s, of one thread running in domain ``key``.
+
+    Under ``"serial-init"`` a thread outside the home domain competes for
+    the home domain's bandwidth, derated by its chip's remote-access
+    fraction (the on-chip ring).
+    """
+    chips = cluster.node.chips
+    if data_policy == "serial-init" and key != home_domain:
+        home = chips[home_domain[1]].domains[home_domain[2]]
+        return (home.memory.per_stream_bandwidth(
+                    max(1, threads_per_domain.get(home_domain, 1)))
+                * chips[key[1]].remote_access_fraction)
+    return chips[key[1]].domains[key[2]].memory.per_stream_bandwidth(
+        max(1, threads_per_domain.get(key, 1)))
+
+
+class RegionContext(NamedTuple):
+    """One NUMA domain a rank's region runs in; its threads time alike."""
+
+    key: Domain
+    domain: NumaDomain
+    threads: int                # the rank's threads in this domain
+    mem_share: float            # bytes/s per thread, remote share included
+    l2_share: float             # bytes/s per thread
+    working_set_scale: float    # scaled for the shared L2
+
+
+def region_contexts(thread_addrs: tuple[CoreAddress, ...], cluster: Cluster,
+                    threads_per_domain: dict[Domain, int], home_domain: Domain,
+                    data_policy: str,
+                    working_set_scale: float) -> list[RegionContext]:
+    """The distinct NUMA contexts of a region, in first-appearance order.
+
+    ``thread_addrs`` are the region's threads (one for a serial region);
+    ``threads_per_domain`` is the job's contention census.
+    """
+    if not thread_addrs:
+        raise ConfigurationError("a region needs at least one thread")
+    counts: dict[Domain, int] = {}
+    for a in thread_addrs:
+        key = (a.node, a.chip, a.domain)
+        counts[key] = counts.get(key, 0) + 1
+    contexts: list[RegionContext] = []
+    for key, here in counts.items():
+        dom = cluster.node.chips[key[1]].domains[key[2]]
+        # Within a rank, threads co-resident in a shared L2 share their
+        # reuse footprint constructively (halo planes, tables);
+        # approximate by shrinking the per-thread working set with the
+        # rank's thread count in that domain, floored at 30%.
+        ws = working_set_scale
+        if dom.l2.shared and here > 1:
+            ws *= max(0.3, 1.0 / here ** 0.5)
+        contexts.append(RegionContext(
+            key, dom, here,
+            stream_share(cluster, key, threads_per_domain, home_domain,
+                         data_policy),
+            dom.l2_bandwidth_share(max(1, threads_per_domain.get(key, 1))),
+            ws))
+    return contexts
 
 
 def region_time(
@@ -117,82 +203,35 @@ def region_time(
     op: "Compute",
     thread_addrs: tuple[CoreAddress, ...],
     cluster: Cluster,
-    threads_per_domain: dict[tuple[int, int, int], int],
-    home_domain: tuple[int, int, int],
+    threads_per_domain: dict[Domain, int],
+    home_domain: Domain,
     data_policy: str = "first-touch",
 ) -> RegionTiming:
     """Time one :class:`~repro.runtime.program.Compute` region for a rank."""
     if data_policy not in DATA_POLICIES:
         raise ConfigurationError(f"unknown data policy {data_policy!r}")
-    if not thread_addrs:
-        raise ConfigurationError("a region needs at least one thread")
-
     if op.serial:
         thread_addrs = thread_addrs[:1]
+    contexts = region_contexts(thread_addrs, cluster, threads_per_domain,
+                               home_domain, data_policy,
+                               op.working_set_scale)
     n_threads = len(thread_addrs)
-    max_iters, chunk_overhead = _thread_iters(
-        op.iters, n_threads, op.schedule, op.imbalance
-    )
-
-    # Within a rank, threads co-resident in a shared L2 share their reuse
-    # footprint constructively (halo planes, tables); approximate by
-    # shrinking the per-thread working set with the rank's thread count in
-    # that domain, floored at 30%.
-    domains = {(a.node, a.chip, a.domain) for a in thread_addrs}
-    n_domains = len(domains)
-
-    home_dom_spec = cluster.node.chips[home_domain[1]].domains[home_domain[2]]
-    home_active = max(1, threads_per_domain.get(home_domain, 1))
-
-    worst: PhaseTiming | None = None
-    for a in thread_addrs:
-        dom = cluster.domain_spec(a)
-        key = (a.node, a.chip, a.domain)
-        active = max(1, threads_per_domain.get(key, 1))
-
-        if data_policy == "serial-init" and key != home_domain:
-            # Remote access: the thread competes for the *home* domain's
-            # bandwidth with everything pinned there, further derated by
-            # the on-chip ring.
-            chip = cluster.node.chips[a.chip]
-            mem_share = (
-                home_dom_spec.memory.per_stream_bandwidth(home_active)
-                * chip.remote_access_fraction
-            )
-        else:
-            mem_share = dom.memory.per_stream_bandwidth(active)
-        l2_share = dom.l2_bandwidth_share(active)
-
-        rank_threads_here = sum(
-            1 for b in thread_addrs if (b.node, b.chip, b.domain) == key
-        )
-        ws_scale = op.working_set_scale
-        if dom.l2.shared and rank_threads_here > 1:
-            ws_scale *= max(0.3, 1.0 / rank_threads_here ** 0.5)
-
-        pt = phase_time(
-            ck,
-            max_iters,
-            dom.core,
-            dom.l1d,
-            dom.l2,
-            mem_bandwidth_share=mem_share,
-            l2_bandwidth_share=l2_share,
-            mem_latency_s=dom.memory.latency_s,
-            working_set_scale=ws_scale,
-        )
-        if worst is None or pt.seconds > worst.seconds:
-            worst = pt
-
-    assert worst is not None
-    overhead = 0.0 if op.serial else fork_join_overhead(n_threads, n_domains)
-    overhead += chunk_overhead
-    total_flops = ck.kernel.flops * op.iters
+    max_iters = max_thread_iters(op.iters, n_threads, op.schedule,
+                                 op.imbalance)
+    # the critical thread is in the first slowest context
+    worst = max((phase_time(ck, max_iters, c.domain.core, c.domain.l1d,
+                            c.domain.l2, mem_bandwidth_share=c.mem_share,
+                            l2_bandwidth_share=c.l2_share,
+                            mem_latency_s=c.domain.memory.latency_s,
+                            working_set_scale=c.working_set_scale)
+                 for c in contexts), key=lambda pt: pt.seconds)
+    overhead = region_overhead(n_threads, len(contexts), op.schedule,
+                               op.serial)
     # DRAM volume scales with the full iteration count, not the max thread.
     dram = worst.dram_bytes / max_iters * op.iters if max_iters > 0 else 0.0
     return RegionTiming(
         seconds=worst.seconds + overhead,
-        flops=total_flops,
+        flops=ck.kernel.flops * op.iters,
         dram_bytes=dram,
         bound=worst.bound,
         max_thread_seconds=worst.seconds,

@@ -99,3 +99,30 @@ def test_validation_sample_deterministic():
     assert a == sorted(a)
     assert validation_sample("seeded", 3, 5) == [0, 1, 2]
     assert validation_sample("seeded", 0, 5) == []
+
+
+def test_ties_break_in_sorted_domain_order():
+    """Equal-time contexts of a group resolve to the lowest domain.
+
+    ffvc A64FX 3x16 stride-4 cyclic wraps each rank's thread list around
+    the node, so its first-appearance domain order is not sorted, and
+    two contexts of a group tie on time but not on DRAM volume.  The
+    batch pass keeps the first of equal-time contexts in sorted order;
+    first-appearance order would give a different DRAM rate.
+    """
+    from repro.runtime.affinity import ProcessAllocation, ThreadBinding
+    from repro.runtime.placement import JobPlacement
+
+    config = ExperimentConfig(app="ffvc", n_ranks=3, n_threads=16,
+                              binding=ThreadBinding("stride", 4),
+                              allocation=ProcessAllocation("cyclic"),
+                              options_preset="as-is")
+    placement = JobPlacement(PROCESSORS["A64FX"](), 3, 16,
+                             binding=config.binding,
+                             allocation=config.allocation)
+    orders = [list(dict.fromkeys((a.node, a.chip, a.domain)
+                                 for a in placement.thread_cores(r)))
+              for r in range(3)]
+    assert any(order != sorted(order) for order in orders)
+    row = score_config(config)
+    assert row.dram_gbytes_per_s.hex() == "0x1.89fe27c4d2dadp+6"

@@ -227,6 +227,26 @@ class TestFingerprint:
         model_fingerprint(refresh=True)  # restore the memo
         assert before != after
 
+    @pytest.mark.parametrize("package", cache_mod._TIMING_PACKAGES)
+    def test_timing_source_is_part_of_fingerprint(self, package, tmp_path,
+                                                  monkeypatch):
+        """Editing one byte of any timing-package module moves the
+        fingerprint; the hashed tree is a tmp copy of the sources."""
+        import shutil
+
+        for name in cache_mod._TIMING_PACKAGES:
+            shutil.copytree(cache_mod._SOURCE_ROOT / name, tmp_path / name)
+        real = model_fingerprint(refresh=True)
+        monkeypatch.setattr(cache_mod, "_SOURCE_ROOT", tmp_path)
+        before = model_fingerprint(refresh=True)
+        assert before == real
+        source = sorted((tmp_path / package).glob("*.py"))[-1]
+        source.write_bytes(source.read_bytes() + b"\n")
+        after = model_fingerprint(refresh=True)
+        monkeypatch.undo()
+        model_fingerprint(refresh=True)  # restore the memo
+        assert before != after
+
     def test_disk_record_carries_fingerprint(self, tmp_path):
         cache = ResultCache(tmp_path)
         run_config(CFG, cache)
